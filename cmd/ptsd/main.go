@@ -46,6 +46,14 @@ import (
 	"pts"
 )
 
+// HTTP server timeouts: a client must send its request headers within
+// readHeaderTimeout, and an idle keep-alive connection is closed after
+// idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		fleetAddr    = flag.String("fleet", ":9017", "TCP address worker daemons dial")
@@ -87,7 +95,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	// No WriteTimeout: it would cut the long-lived SSE event streams.
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- hs.Serve(ln) }()
 

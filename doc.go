@@ -133,18 +133,6 @@
 //     candidate generation order, float accumulation order and argmin
 //     tie-breaking are preserved, so fixed-seed static runs reproduce
 //     the scalar trajectory exactly (asserted by fuzz and golden tests).
-//   - Strict vs relaxed accumulation: the contract above is the strict
-//     (default) mode, pinned by golden_test.go, and it never changes.
-//     WithRelaxedAccumulation opts batch evaluation into reassociated
-//     kernels — multi-lane weighted-delta accumulation and a
-//     reciprocal-multiply membership fold — that may differ from the
-//     strict path in final-ulp rounding but remain deterministic per
-//     seed; golden_relaxed_test.go pins the relaxed trajectories
-//     separately. WithEvaluationPool shards batches over persistent
-//     per-CLW worker goroutines without changing any candidate's
-//     arithmetic; it is available only in relaxed mode (strict mode
-//     keeps the audited single-threaded path) and both modes stay
-//     allocation-free per trial.
 //   - The scheduling workloads deliberately break the O(1)-per-delta
 //     pattern while keeping every contract above: a flow shop trial
 //     recomputes the critical-path section between the swapped
@@ -152,10 +140,9 @@
 //     and a job shop trial re-decodes the whole operation sequence
 //     (O(jobs x machines), with a same-job-token fast path answering
 //     zero). Both do all schedule arithmetic in exact integers, so
-//     batch and scalar evaluation — and strict and relaxed accumulation
-//     — are bit-identical by construction (fuzzed per package, pinned
-//     by golden_sched_test.go), and both stay allocation-free per
-//     trial once caches are warm.
+//     batch and scalar evaluation are bit-identical by construction
+//     (fuzzed per package, pinned by golden_sched_test.go), and both
+//     stay allocation-free per trial once caches are warm.
 //
 // The implementation lives under internal/ (ARCHITECTURE.md maps the
 // layers and documents every protocol message); cmd/ holds the

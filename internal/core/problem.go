@@ -68,24 +68,6 @@ type Snapshot struct {
 	Shares []float64
 }
 
-// configureEval applies the run's batch-evaluation mode to a freshly
-// built worker state: relaxed accumulation when the run opted in
-// (tabu.RelaxedAccumulator), and — for CLWs, the workers that actually
-// batch-evaluate candidates — the evaluation pool (tabu.EvalPooler).
-// Config.Validate already guarantees the pool only arises in relaxed
-// mode; states without the capabilities search strictly, which is
-// consistent because they then have no relaxed kernels to disagree
-// with. Pool owners must tabu.Close the state when retiring it.
-func configureEval(st State, cfg Config, pool bool) {
-	if !cfg.RelaxedAccumulation {
-		return
-	}
-	tabu.SetRelaxedAccumulation(st, true)
-	if pool && cfg.EvalWorkers > 1 {
-		tabu.SetEvalWorkers(st, cfg.EvalWorkers)
-	}
-}
-
 // refresh resynchronizes a state's cached models (e.g. the placement
 // evaluator's timing criticalities) when the state supports it.
 func refresh(st State) {

@@ -22,7 +22,7 @@ func checkConsistency(p *Placement) error {
 	hpwl := 0.0
 	for n := 0; n < p.nl.NumNets(); n++ {
 		ref := p.scanBox(netlist.NetID(n))
-		if got := p.boxAt(netlist.NetID(n)); got != ref {
+		if got := p.boxes[n]; got != ref {
 			return fmt.Errorf("net %d box drifted: have %+v want %+v", n, got, ref)
 		}
 		hpwl += boxLength(&ref)
@@ -177,50 +177,67 @@ func TestSwapDeltaWeightedMatchesVisit(t *testing.T) {
 // MaxRowWidthAfterSwap. Batch sizes straddle the internal sort threshold
 // so both the generation-order and sorted visit paths are exercised, the
 // placement mutates between batches, candidates include degenerate a==b
-// pairs, and every fifth batch runs unweighted (nil w).
+// pairs, and every fifth batch runs unweighted (nil w). Besides the
+// usual near-square layout it runs on a 2 x 32768 grid with cells pinned
+// to its first and last slots, so box extents and deltas reach column
+// 32767.
 func TestSwapObjectivesBatchMatchesScalar(t *testing.T) {
 	nl := testNetlist(t, 120, 7)
-	p, err := New(nl, AutoLayout(nl, 0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(23))
-	p.Randomize(r)
-	w := make([]float64, nl.NumNets())
-	for n := range w {
-		w[n] = r.Float64()
-	}
-	cells := nl.NumCells()
-	const maxBatch = 64
-	cands := make([]SwapCand, 0, maxBatch)
-	dLen := make([]float64, maxBatch)
-	dW := make([]float64, maxBatch)
-	area := make([]float64, maxBatch)
-	for batch := 0; batch < 2500; batch++ {
-		n := 1 + r.Intn(maxBatch) // straddles batchSortMin
-		cands = cands[:0]
-		for i := 0; i < n; i++ {
-			a := netlist.CellID(r.Intn(cells))
-			b := netlist.CellID(r.Intn(cells)) // a == b allowed
-			cands = append(cands, SwapCand{A: a, B: b})
+	for _, l := range []Layout{AutoLayout(nl, 0.9), {Rows: 2, Cols: 1 << 15}} {
+		p, err := New(nl, l)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wv := w
-		if batch%5 == 0 {
-			wv = nil
-		}
-		p.SwapObjectivesBatch(cands, wv, dLen, dW, area)
-		for i, c := range cands {
-			wantL, wantW := p.SwapDeltaWeighted(c.A, c.B, wv)
-			wantA := float64(p.MaxRowWidthAfterSwap(c.A, c.B))
-			if math.Float64bits(dLen[i]) != math.Float64bits(wantL) ||
-				math.Float64bits(dW[i]) != math.Float64bits(wantW) ||
-				math.Float64bits(area[i]) != math.Float64bits(wantA) {
-				t.Fatalf("batch %d cand %d (%d,%d): batch=(%v,%v,%v) scalar=(%v,%v,%v)",
-					batch, i, c.A, c.B, dLen[i], dW[i], area[i], wantL, wantW, wantA)
+		r := rand.New(rand.NewSource(23))
+		p.Randomize(r)
+		for c, slot := range []int{0, l.Slots() - 1} {
+			if occ := p.slot[slot]; occ == netlist.None {
+				if err := p.MoveToSlot(netlist.CellID(c), l.SlotPos(slot)); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				p.SwapCells(netlist.CellID(c), occ)
 			}
 		}
-		a, b := randomPair(r, cells)
-		p.SwapCells(a, b) // batches must agree on every placement, not just one
+		w := make([]float64, nl.NumNets())
+		for n := range w {
+			w[n] = r.Float64()
+		}
+		cells := nl.NumCells()
+		const maxBatch = 64
+		cands := make([]SwapCand, 0, maxBatch)
+		dLen := make([]float64, maxBatch)
+		dW := make([]float64, maxBatch)
+		area := make([]float64, maxBatch)
+		for batch := 0; batch < 2500; batch++ {
+			n := 1 + r.Intn(maxBatch) // straddles batchSortMin
+			cands = cands[:0]
+			for i := 0; i < n; i++ {
+				a := netlist.CellID(r.Intn(cells))
+				b := netlist.CellID(r.Intn(cells)) // a == b allowed
+				cands = append(cands, SwapCand{A: a, B: b})
+			}
+			wv := w
+			if batch%5 == 0 {
+				wv = nil
+			}
+			p.SwapObjectivesBatch(cands, wv, dLen, dW, area)
+			for i, c := range cands {
+				wantL, wantW := p.SwapDeltaWeighted(c.A, c.B, wv)
+				wantA := float64(p.MaxRowWidthAfterSwap(c.A, c.B))
+				if math.Float64bits(dLen[i]) != math.Float64bits(wantL) ||
+					math.Float64bits(dW[i]) != math.Float64bits(wantW) ||
+					math.Float64bits(area[i]) != math.Float64bits(wantA) {
+					t.Fatalf("%dx%d batch %d cand %d (%d,%d): batch=(%v,%v,%v) scalar=(%v,%v,%v)",
+						l.Rows, l.Cols, batch, i, c.A, c.B, dLen[i], dW[i], area[i], wantL, wantW, wantA)
+				}
+			}
+			a, b := randomPair(r, cells)
+			p.SwapCells(a, b) // batches must agree on every placement, not just one
+		}
+		if err := checkConsistency(p); err != nil {
+			t.Fatalf("%dx%d: %v", l.Rows, l.Cols, err)
+		}
 	}
 }
 

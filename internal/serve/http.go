@@ -70,14 +70,23 @@ const (
 	codeNotFound        = "not_found"        // 404: no such job
 	codeBadSpec         = "bad_spec"         // 400: malformed or invalid submission
 	codeBadRequest      = "bad_request"      // 400: malformed query parameter
+	codeTooLarge        = "too_large"        // 413: submission body over maxSubmitBytes
 )
+
+// maxSubmitBytes bounds a POST /v1/jobs body. A real submission is a
+// few hundred bytes; the bound only stops a client from making the
+// daemon buffer an arbitrarily large request.
+const maxSubmitBytes = 1 << 20
 
 // writeError maps a scheduler error to its status code and machine
 // code and emits the error envelope; fallbackCode classifies plain
 // errors (decode and validation failures) that carry no sentinel.
 func writeError(w http.ResponseWriter, err error, fallbackCode string) {
 	status, code := http.StatusBadRequest, fallbackCode
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		status, code = http.StatusRequestEntityTooLarge, codeTooLarge
 	case errors.Is(err, ErrQueueFull):
 		status, code = http.StatusTooManyRequests, codeQueueFull
 	case errors.Is(err, ErrNeverAdmissible):
@@ -183,10 +192,11 @@ func (p *configPayload) buildConfig() core.Config {
 }
 
 // submitJob handles POST /v1/jobs: decode, enqueue, 201 with the job
-// view (or 400/409/429/503 per the scheduler's refusal).
+// view (or 400/409/429/503 per the scheduler's refusal, 413 for a body
+// over maxSubmitBytes).
 func (a *API) submitJob(w http.ResponseWriter, r *http.Request) {
 	var p submitPayload
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
 		writeError(w, fmt.Errorf("decode request: %w", err), codeBadSpec)

@@ -176,6 +176,11 @@ func TestHTTPStatusCodes(t *testing.T) {
 	if st, code := postErr(t, srv, `{"problem": {"kind": "placement", "circuit": "highway"}, "wrokers": 1}`); st != http.StatusBadRequest || code != "bad_spec" {
 		t.Fatalf("unknown-field = %d %q, want 400 bad_spec", st, code)
 	}
+	// Body over maxSubmitBytes: 413 too_large.
+	huge := `{"problem": {"kind": "placement", "circuit": "` + strings.Repeat("a", maxSubmitBytes) + `"}}`
+	if st, code := postErr(t, srv, huge); st != http.StatusRequestEntityTooLarge || code != "too_large" {
+		t.Fatalf("oversized = %d %q, want 413 too_large", st, code)
+	}
 	// Unknown job: 404 not_found.
 	if st, code := getErr(t, srv, "/v1/jobs/nope"); st != http.StatusNotFound || code != "not_found" {
 		t.Fatalf("unknown job = %d %q, want 404 not_found", st, code)

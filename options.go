@@ -253,31 +253,3 @@ func WithTabu(tenure, trials, depth int) Option {
 func WithDiversification(depth int) Option {
 	return func(s *settings) { s.cfg.DiversifyDepth = depth }
 }
-
-// WithRelaxedAccumulation opts batch trial evaluation into the relaxed
-// (reassociated) accumulation kernels: weighted-delta sums accumulate
-// in independent lanes and the fuzzy-cost fold multiplies by hoisted
-// reciprocals instead of dividing, which is measurably faster but may
-// differ from the strict path in final-ulp rounding.
-//
-// Off (the default), batch evaluation is bit-for-bit identical to
-// scalar evaluation and fixed-seed runs reproduce the strict goldens.
-// On, fixed-seed runs are still exactly reproducible — the relaxed
-// kernels are deterministic, and the flag travels in the job payload so
-// every worker of a distributed run scores identically — they just pin
-// a different (relaxed-mode) golden trajectory. Problems without a
-// relaxed kernel (e.g. QAP) are unaffected.
-func WithRelaxedAccumulation(on bool) Option {
-	return func(s *settings) { s.cfg.RelaxedAccumulation = on }
-}
-
-// WithEvaluationPool sizes the per-CLW evaluation pool: each
-// candidate-list worker shards its trial batches across `workers`
-// persistent goroutines, overlapping the evaluation of independent
-// candidates on multi-core nodes. Requires WithRelaxedAccumulation —
-// strict mode keeps the single-threaded batch path its bit-identity
-// contract is audited against, and Solve rejects the combination.
-// 0 or 1 (the default) disables the pool.
-func WithEvaluationPool(workers int) Option {
-	return func(s *settings) { s.cfg.EvalWorkers = workers }
-}

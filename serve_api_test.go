@@ -356,3 +356,27 @@ func TestServerJobShopBadInstanceRefused(t *testing.T) {
 		t.Errorf("refusal %q does not name the unknown instance", v.Error.Message)
 	}
 }
+
+// TestServerQAPSizeBounded: a QAP spec one past maxQAPSize is refused at
+// submit with the bad_spec envelope, before its n×n matrices are built.
+func TestServerQAPSizeBounded(t *testing.T) {
+	_, hts, stop := startServerFleet(t, 0)
+	defer stop()
+	body := fmt.Sprintf(`{"problem": {"kind": "qap", "n": %d, "seed": 1}, "workers": 0}`, maxQAPSize+1)
+	resp, err := http.Post(hts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || v.Error.Code != "bad_spec" {
+		t.Fatalf("n=%d submission = %d %q, want 400 bad_spec", maxQAPSize+1, resp.StatusCode, v.Error.Code)
+	}
+}

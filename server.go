@@ -124,6 +124,11 @@ func (s *Server) Drain(ctx context.Context) error { return s.sched.Drain(ctx) }
 // Drain first for a graceful shutdown.
 func (s *Server) Close() error { return s.master.Close() }
 
+// maxQAPSize bounds a served QAP instance's n: the instance holds two
+// n×n float64 matrices, so an unbounded n lets one request exhaust the
+// daemon's memory.
+const maxQAPSize = 1024
+
 // resolveSpec constructs the built-in workload a job spec names. It is
 // the shared resolver of the serving master and of resolver-equipped
 // worker daemons (Worker with a nil problem), so both sides build each
@@ -137,8 +142,8 @@ func resolveSpec(spec core.ProblemSpec) (core.Problem, error) {
 		}
 		return adapt(p), nil
 	case "qap":
-		if spec.QAPN < 2 {
-			return nil, fmt.Errorf("pts: qap size %d < 2", spec.QAPN)
+		if spec.QAPN < 2 || spec.QAPN > maxQAPSize {
+			return nil, fmt.Errorf("pts: qap size %d outside [2, %d]", spec.QAPN, maxQAPSize)
 		}
 		return adapt(RandomQAP(spec.QAPN, spec.QAPSeed)), nil
 	case "flowshop":
