@@ -10,10 +10,13 @@ import (
 )
 
 // distOpts is the shared search configuration of the cross-transport
-// equality tests. Half-sync stays off: with full collection the search
-// outcome depends only on the seed-derived random streams (which every
-// transport derives from the task spawn paths), not on message timing —
-// so the TCP run must reproduce the in-process run exactly.
+// equality tests. Half-sync stays off, so every round awaits every
+// worker; task random streams derive from spawn paths on every
+// transport, and each TSW ranks its CLWs' candidates in slot order. What
+// message timing still decides is the master's pick between TSW reports
+// of exactly equal cost (the first to arrive wins). QAP costs are sums
+// of float products, where such ties between distinct solutions do not
+// occur, so the TCP run must reproduce the in-process run exactly.
 func distOpts() []Option {
 	return []Option{
 		WithWorkers(3, 2),
@@ -90,6 +93,47 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 		}
 		if !reflect.DeepEqual(wr.Best, dist.Best) {
 			t.Errorf("worker %d's best permutation differs from the master's", i)
+		}
+	}
+}
+
+// TestRealTimeCLWTiesMatchVirtual pins the CLW-level determinism of
+// real-time runs on an integer-cost problem: ta001 makespans tie
+// often, and with two CLWs per TSW the selection among equally good
+// candidates must not depend on which CLW answered first. One TSW
+// keeps the master's arrival-ordered pick out of play. The run is
+// durable, the serving daemon's configuration.
+func TestRealTimeCLWTiesMatchVirtual(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repeated real-time runs")
+	}
+	ctx := context.Background()
+	opts := func(extra ...Option) []Option {
+		return append([]Option{
+			WithWorkers(1, 2),
+			WithIterations(3, 8),
+			WithTabu(10, 6, 3),
+			WithDiversification(12),
+			WithHalfSync(false),
+			WithSeed(5),
+			WithStore(NewMemStore()),
+		}, extra...)
+	}
+	p, err := FlowShopBenchmark("ta001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Solve(ctx, p, opts(WithVirtualTime())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		got, err := Solve(ctx, p, opts(WithRealTime())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.BestCost != want.BestCost || !reflect.DeepEqual(got.Best, want.Best) {
+			t.Fatalf("real-time run %d: best %v, virtual time %v", i, got.BestCost, want.BestCost)
 		}
 	}
 }

@@ -34,7 +34,9 @@
 // scheduling (FlowShopProblem, with Taillard's ta001 embedded), and
 // job shop scheduling under an operation-based permutation encoding
 // (JobShopProblem, with OR-Library ft06/ft10/la01 embedded). All run
-// through the identical Solve path.
+// through the identical Solve path. Problem, State and Detailer are
+// aliases of the engine's own interfaces, as WorkerStats and Snapshot
+// are of its records, so a problem reaches the engine unwrapped.
 //
 // # Execution modes
 //

@@ -162,7 +162,7 @@ func Recovery(o RecoveryOpts) (*RecoveryReport, error) {
 			name := fmt.Sprintf("r%d", i)
 			go func(ctx context.Context, name string) {
 				workerErrs <- core.ServeWorker(ctx, newProblem(), core.WorkerOptions{
-					Addr: master.Addr(), Name: name, Jobs: 1,
+					WorkerConfig: nettrans.WorkerConfig{Addr: master.Addr(), Name: name, Jobs: 1},
 				}, nil)
 			}(wctx, name)
 			// Join order fixes slot assignment; wait for each registration.

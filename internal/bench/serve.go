@@ -185,11 +185,13 @@ func Serve(o ServeOpts) (*ServeReport, error) {
 		go func(i int) {
 			defer wg.Done()
 			workerErr[i] = core.ServeWorker(o.Context, nil, core.WorkerOptions{
-				Addr:    m.Addr(),
-				Name:    fmt.Sprintf("bench%d", i),
-				Speed:   1,
+				WorkerConfig: nettrans.WorkerConfig{
+					Addr:  m.Addr(),
+					Name:  fmt.Sprintf("bench%d", i),
+					Speed: 1,
+					Drain: drain,
+				},
 				Resolve: serveResolve,
-				Drain:   drain,
 			}, nil)
 		}(i)
 	}

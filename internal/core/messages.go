@@ -293,27 +293,45 @@ type globalMsg struct {
 
 func (m globalMsg) PVMItems() int { return len(m.Perm) + 3*len(m.Tabu) }
 
-// WorkerStats counts one worker's search events; workers aggregate
-// their children's stats into their own before reporting.
+// WorkerStats counts search events; workers aggregate their
+// children's stats into their own before reporting, so a run's result
+// holds the totals across all workers. The public package exports it
+// as pts.WorkerStats.
 type WorkerStats struct {
-	LocalIters       int64
-	CandidatesBuilt  int64
-	TrialsCharged    int64
-	MovesAccepted    int64
-	TabuRejected     int64
-	Aspirations      int64
-	Fallbacks        int64
-	ForcedReports    int64
+	// LocalIters is the number of tabu iterations performed.
+	LocalIters int64
+	// CandidatesBuilt is the number of compound moves constructed.
+	CandidatesBuilt int64
+	// TrialsCharged is the number of trial swap evaluations.
+	TrialsCharged int64
+	// MovesAccepted is the number of compound moves applied.
+	MovesAccepted int64
+	// TabuRejected is the number of moves rejected by the tabu list.
+	TabuRejected int64
+	// Aspirations is the number of tabu moves accepted by aspiration.
+	Aspirations int64
+	// Fallbacks is the number of iterations where every candidate was
+	// tabu and none aspirated.
+	Fallbacks int64
+	// ForcedReports is the number of half-sync forced early reports.
+	ForcedReports int64
+	// Diversifications is the number of diversification phases run.
 	Diversifications int64
-	// Rebalances counts adopted adaptive re-partitions (TSW-level for
-	// CLW ranges, master-level rebalances are not counted here);
-	// WorkersLost counts workers written off after their hosting
-	// process died (CLWs by their TSW, TSWs by the master);
-	// WorkersRespawned counts the replacements the master spawned for
-	// them (CLW replacements plus TSW resurrections from checkpoint).
-	// All three stay 0 in static mode.
-	Rebalances       int64
-	WorkersLost      int64
+	// Rebalances is the number of adaptive range re-partitions adopted
+	// by TSWs for their CLW ranges (master-level rebalances are not
+	// counted); 0 unless adaptive scheduling is on.
+	Rebalances int64
+	// WorkersLost is the number of workers (CLWs, counted by their TSW,
+	// and TSWs, counted by the master) written off after their hosting
+	// process died mid-run (adaptive distributed runs only; a static
+	// run aborts instead).
+	WorkersLost int64
+	// WorkersRespawned is the number of replacement workers spawned
+	// onto surviving capacity to take over for lost ones: CLW
+	// replacements re-seeded from their TSW's current solution, plus
+	// TSWs resurrected from their piggybacked checkpoints. Equal to
+	// WorkersLost when every loss was recovered (see
+	// Config.DisableRespawn).
 	WorkersRespawned int64
 }
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"pts/internal/cost"
 	"pts/internal/pvm"
 	"pts/internal/pvm/nettrans"
 )
@@ -79,10 +78,10 @@ type jobPayload struct {
 	Problem     string
 	Size        int32
 	InitialCost float64
-	Cfg         wireConfig
-	// Spec, when non-nil, lets resolver-equipped workers construct the
-	// job's problem on demand (Config.ProblemSpec on the master side).
-	Spec *ProblemSpec
+	// Cfg is the master's configuration as shipped(): its
+	// ProblemSpec, when non-nil, lets resolver-equipped workers
+	// construct the job's problem on demand.
+	Cfg Config
 }
 
 // runSummary is the final outcome the master reports back to workers,
@@ -97,77 +96,16 @@ type runSummary struct {
 	Interrupted bool
 }
 
-// wireConfig mirrors Config's serializable fields for the job payload;
-// process-local fields (Progress, Transport) stay behind. Keep it in
-// sync when Config grows a field workers need.
-type wireConfig struct {
-	TSWs, CLWs              int
-	GlobalIters, LocalIters int
-	Trials, Depth, Tenure   int
-	DiversifyDepth          int
-	HalfSync                bool
-	Adaptive                bool
-	DisableRespawn          bool
-	CheckpointEvery         int
-	Durable                 bool
-	RefreshEvery            int
-	Utilization             float64
-	Cost                    cost.Config
-	WorkPerTrial            float64
-	Seed                    uint64
-	RecordTrace             bool
-	CorrelatedWorkers       bool
-	Assignment              Assignment
-	PerTSW                  []Tuning
-}
-
-func (c Config) wire() wireConfig {
-	return wireConfig{
-		TSWs: c.TSWs, CLWs: c.CLWs,
-		GlobalIters: c.GlobalIters, LocalIters: c.LocalIters,
-		Trials: c.Trials, Depth: c.Depth, Tenure: c.Tenure,
-		DiversifyDepth:  c.DiversifyDepth,
-		HalfSync:        c.HalfSync,
-		Adaptive:        c.Adaptive,
-		DisableRespawn:  c.DisableRespawn,
-		CheckpointEvery: c.CheckpointEvery,
-		// The store itself never crosses the wire; workers only need
-		// the durable discipline flag (checkpoints + barrier reseeds).
-		Durable:           c.durable(),
-		RefreshEvery:      c.RefreshEvery,
-		Utilization:       c.Utilization,
-		Cost:              c.Cost,
-		WorkPerTrial:      c.WorkPerTrial,
-		Seed:              c.Seed,
-		RecordTrace:       c.RecordTrace,
-		CorrelatedWorkers: c.CorrelatedWorkers,
-		Assignment:        c.Assignment,
-		PerTSW:            c.PerTSW,
-	}
-}
-
-func (w wireConfig) config() Config {
-	cfg := Config{
-		TSWs: w.TSWs, CLWs: w.CLWs,
-		GlobalIters: w.GlobalIters, LocalIters: w.LocalIters,
-		Trials: w.Trials, Depth: w.Depth, Tenure: w.Tenure,
-		DiversifyDepth:    w.DiversifyDepth,
-		HalfSync:          w.HalfSync,
-		Adaptive:          w.Adaptive,
-		DisableRespawn:    w.DisableRespawn,
-		CheckpointEvery:   w.CheckpointEvery,
-		Durable:           w.Durable,
-		RefreshEvery:      w.RefreshEvery,
-		Utilization:       w.Utilization,
-		WorkPerTrial:      w.WorkPerTrial,
-		Seed:              w.Seed,
-		RecordTrace:       w.RecordTrace,
-		CorrelatedWorkers: w.CorrelatedWorkers,
-		Assignment:        w.Assignment,
-		PerTSW:            w.PerTSW,
-	}
-	cfg.Cost = w.Cost
-	return cfg
+// shipped returns the copy of c a distributed master puts in the job
+// payload. The process-local interface fields are cleared (gob refuses
+// a non-nil interface of an unregistered type; func fields are skipped
+// by gob itself), and Durable carries the store's durable discipline
+// to workers, which never hold the store.
+func (c Config) shipped() Config {
+	c.Durable = c.durable()
+	c.Store = nil
+	c.Transport = nil
+	return c
 }
 
 func init() {
@@ -223,31 +161,16 @@ func nearlyEqual(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*scale
 }
 
-// WorkerOptions configures a worker process of a distributed run.
+// WorkerOptions configures a worker process of a distributed run: its
+// nettrans registry entry and connection settings, plus the problem
+// resolver.
 type WorkerOptions struct {
-	// Addr is the master's TCP address.
-	Addr string
-	// Name uniquely identifies the worker in the master registry.
-	Name string
-	// Speed is the node's declared relative compute speed (default 1.0).
-	Speed float64
-	// Capacity is how many machine slots the node contributes
-	// (default 1).
-	Capacity int
-	// Jobs bounds how many jobs to serve (0 = until ctx cancels).
-	Jobs int
+	nettrans.WorkerConfig
 	// Resolve, when non-nil, constructs a job's problem from the
 	// ProblemSpec in its payload, letting one daemon serve any built-in
 	// workload. A worker started with a fixed problem ignores it; a
 	// worker started with a nil problem requires it.
 	Resolve func(ProblemSpec) (Problem, error)
-	// Drain, when non-nil, requests a graceful shutdown when it becomes
-	// readable (typically a closed channel): the worker deregisters from
-	// the master cleanly instead of dropping its connection, and
-	// ServeWorker returns nil.
-	Drain <-chan struct{}
-	// Logf, when non-nil, receives connection and job lifecycle lines.
-	Logf func(format string, args ...any)
 }
 
 // workerHandler is the program half of a worker daemon: it validates
@@ -268,10 +191,10 @@ func (h *workerHandler) Start(payload any) (nettrans.TaskFactory, error) {
 	prob := h.prob
 	if prob == nil {
 		// Serving mode: construct the job's problem from its spec.
-		if jp.Spec == nil {
+		if jp.Cfg.ProblemSpec == nil {
 			return nil, fmt.Errorf("core: job %s carries no problem spec and this worker has no fixed problem", jp.Problem)
 		}
-		p, err := h.resolve(*jp.Spec)
+		p, err := h.resolve(*jp.Cfg.ProblemSpec)
 		if err != nil {
 			return nil, fmt.Errorf("core: resolving job problem %s: %w", jp.Problem, err)
 		}
@@ -281,7 +204,7 @@ func (h *workerHandler) Start(payload any) (nettrans.TaskFactory, error) {
 		return nil, fmt.Errorf("core: job is %s (%d elements) but this worker built %s (%d elements); start the worker with the master's inputs",
 			jp.Problem, jp.Size, prob.Name(), prob.Size())
 	}
-	cfg := jp.Cfg.config()
+	cfg := jp.Cfg
 	// Derive the run-scoped shared context (e.g. the placement fuzzy
 	// goals) exactly as the master did, so locally minted states score
 	// identically. Initial is deterministic in the seed, so the state
@@ -340,15 +263,7 @@ func ServeWorker(ctx context.Context, prob Problem, opts WorkerOptions, onJob fu
 	if prob == nil && opts.Resolve == nil {
 		return fmt.Errorf("core: worker needs a problem or a resolver")
 	}
-	return nettrans.RunWorker(ctx, nettrans.WorkerConfig{
-		Addr:     opts.Addr,
-		Name:     opts.Name,
-		Speed:    opts.Speed,
-		Capacity: opts.Capacity,
-		Jobs:     opts.Jobs,
-		Drain:    opts.Drain,
-		Logf:     opts.Logf,
-	}, &workerHandler{prob: prob, resolve: opts.Resolve, onJob: onJob})
+	return nettrans.RunWorker(ctx, opts.WorkerConfig, &workerHandler{prob: prob, resolve: opts.Resolve, onJob: onJob})
 }
 
 // JoinWorker serves exactly one job as a worker of a distributed run

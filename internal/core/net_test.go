@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"pts/internal/cost"
 	"pts/internal/netlist"
 	"pts/internal/pvm"
+	"pts/internal/store"
 )
 
 // testProblem builds a small placement problem for transport tests.
@@ -74,18 +77,37 @@ func TestWireConfigRoundTrip(t *testing.T) {
 	cfg.Assignment = AssignBlocked
 	cfg.PerTSW = []Tuning{{Trials: 9}, {Depth: 2, Tenure: 7}}
 	cfg.Seed = 42
+	cfg.ProblemSpec = &ProblemSpec{Kind: "flowshop", Instance: "ta001"}
 	// Process-local fields must not survive the wire...
 	cfg.Progress = func(Snapshot) {}
 	cfg.Transport = &abortingTransport{}
-	cfg.WorkScale = 0.5
+	cfg.Store = store.NewMem()
 
-	got := cfg.wire().config()
+	// ...gob-encoded exactly as nettrans ships a job payload.
+	var sent any = jobPayload{Problem: "p", Size: 7, InitialCost: 1.5, Cfg: cfg.shipped()}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&sent); err != nil {
+		t.Fatal(err)
+	}
+	var recv any
+	if err := gob.NewDecoder(&buf).Decode(&recv); err != nil {
+		t.Fatal(err)
+	}
+	jp, ok := recv.(jobPayload)
+	if !ok {
+		t.Fatalf("decoded %T, want jobPayload", recv)
+	}
+	got := jp.Cfg
 	want := cfg
 	want.Progress = nil
 	want.Transport = nil
-	want.WorkScale = 0 // travels in the job frame, not the config
+	want.Store = nil
+	want.Durable = true // the store's discipline crosses without the store
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("wire round trip mangled the config:\ngot  %+v\nwant %+v", got, want)
+	}
+	if jp.Problem != "p" || jp.Size != 7 || jp.InitialCost != 1.5 {
+		t.Errorf("wire round trip mangled the fingerprint: %+v", jp)
 	}
 }
 
@@ -100,7 +122,7 @@ func TestWorkerHandlerRefusesMismatchedProblem(t *testing.T) {
 		Problem:     h.prob.Name(),
 		Size:        h.prob.Size(),
 		InitialCost: st.Cost(),
-		Cfg:         cfg.wire(),
+		Cfg:         cfg.shipped(),
 	}
 	if _, err := h.Start(good); err != nil {
 		t.Fatalf("matching job refused: %v", err)

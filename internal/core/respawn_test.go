@@ -476,7 +476,7 @@ func startWorkerDaemon(t *testing.T, ctx context.Context, prob Problem, addr, na
 	ch := make(chan error, 1)
 	go func() {
 		ch <- ServeWorker(ctx, prob, WorkerOptions{
-			Addr: addr, Name: name, Speed: speed, Jobs: 1,
+			WorkerConfig: nettrans.WorkerConfig{Addr: addr, Name: name, Speed: speed, Jobs: 1},
 		}, nil)
 	}()
 	return ch

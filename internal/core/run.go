@@ -50,7 +50,7 @@ type Result struct {
 	// Runtime reports the communication volume of the run.
 	Runtime pvm.Counters
 	// Details carries problem-specific exact scoring of BestPerm when
-	// the problem implements Finalizer; nil otherwise.
+	// the problem implements Detailer; nil otherwise.
 	Details any
 
 	// Objectives and CriticalPath are the exact placement objectives of
@@ -130,8 +130,7 @@ func RunProblem(ctx context.Context, prob Problem, clus cluster.Cluster, cfg Con
 			Problem:     prob.Name(),
 			Size:        prob.Size(),
 			InitialCost: initCost,
-			Cfg:         cfg.wire(),
-			Spec:        cfg.ProblemSpec,
+			Cfg:         cfg.shipped(),
 		}
 		opts.Spawner = taskFactory(prob, cfg)
 	}
@@ -224,8 +223,8 @@ func loadSnapshot(prob Problem, cfg Config, initPerm []int32) *masterSnapshot {
 // finalize attaches problem-specific exact scoring when the problem
 // offers it.
 func finalize(prob Problem, res *Result) (*Result, error) {
-	if f, ok := prob.(Finalizer); ok {
-		details, err := f.Finalize(res.BestPerm)
+	if d, ok := prob.(Detailer); ok {
+		details, err := d.Details(res.BestPerm)
 		if err != nil {
 			return nil, fmt.Errorf("core: best solution invalid: %w", err)
 		}

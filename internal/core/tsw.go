@@ -767,11 +767,13 @@ func (cs *clwSet) shutdown(env pvm.Env, stats *WorkerStats) {
 }
 
 // candCollector gathers one candidate per live CLW each local
-// iteration. Its buffers (the output slice and the reported set) are
-// allocated once per TSW and reused for every iteration of the run.
+// iteration. Its buffers (the output slice, its CLW slots and the
+// reported set) are allocated once per TSW and reused for every
+// iteration of the run.
 type candCollector struct {
 	cs       *clwSet
 	out      []candMsg
+	slot     []int // slot[i] is the CLW index out[i] came from
 	reported map[pvm.TaskID]bool
 }
 
@@ -779,19 +781,26 @@ func newCandCollector(cs *clwSet) *candCollector {
 	return &candCollector{
 		cs:       cs,
 		out:      make([]candMsg, 0, len(cs.ids)),
+		slot:     make([]int, 0, len(cs.ids)),
 		reported: make(map[pvm.TaskID]bool, len(cs.ids)),
 	}
 }
 
-// collect returns one candidate per live CLW; the returned slice is
-// valid until the next collect. In half-sync mode it waits for half of
-// them, forces the rest with TagReportNow, then waits for the
-// remainder (they arrive promptly, truncated). A CLW dying mid-collect
-// is written off and no longer awaited.
+// collect returns one candidate per live CLW, in CLW slot order; the
+// returned slice is valid until the next collect. In half-sync mode it
+// waits for half of them, forces the rest with TagReportNow, then
+// waits for the remainder (they arrive promptly, truncated). A CLW
+// dying mid-collect is written off and no longer awaited.
+//
+// Slot order, not arrival order, is what makes the selection
+// independent of message timing: the TSW keeps the first of equally
+// good candidates, so in real time an arrival-ordered list let equal
+// deltas be decided by which CLW happened to answer first.
 func (cc *candCollector) collect(env pvm.Env, halfSync bool, stats *WorkerStats) []candMsg {
 	cs := cc.cs
 	expected := cs.alive
 	cc.out = cc.out[:0]
+	cc.slot = cc.slot[:0]
 	for id := range cc.reported {
 		delete(cc.reported, id)
 	}
@@ -807,7 +816,14 @@ func (cc *candCollector) collect(env pvm.Env, halfSync bool, stats *WorkerStats)
 		cc.reported[m.From] = true
 		c := m.Data.(candMsg)
 		cs.observe(m.From, c)
+		// Insertion into slot order; a collect holds at most CLWs items.
+		j, i := cs.byID[m.From], len(cc.out)
 		cc.out = append(cc.out, c)
+		cc.slot = append(cc.slot, j)
+		for ; i > 0 && cc.slot[i-1] > j; i-- {
+			cc.out[i], cc.slot[i] = cc.out[i-1], cc.slot[i-1]
+		}
+		cc.out[i], cc.slot[i] = c, j
 	}
 	if halfSync && expected > 1 {
 		half := (expected + 1) / 2

@@ -78,14 +78,18 @@ type node struct {
 	bye   chan struct{}
 }
 
-// NodeInfo describes one registry entry.
+// NodeInfo describes one registry entry. Its JSON form is the serving
+// daemon's /v1/fleet worker record.
 type NodeInfo struct {
-	Name     string
-	Speed    float64
-	Capacity int
+	// Name is the worker's cluster-unique registry name.
+	Name string `json:"name"`
+	// Speed is its declared relative speed factor.
+	Speed float64 `json:"speed"`
+	// Capacity is how many machine slots it contributes.
+	Capacity int `json:"capacity"`
 	// Busy reports that the worker is leased to (or hosting) a run
 	// rather than idle in the lobby.
-	Busy bool
+	Busy bool `json:"busy"`
 }
 
 // Listen starts a master: it binds cfg.Addr immediately and accepts

@@ -35,11 +35,4 @@ func (f NettransFleet) FreeWorkers() int { return f.M.FreeWorkers() }
 func (f NettransFleet) TotalWorkers() int { return f.M.TotalWorkers() }
 
 // Nodes describes every registered worker.
-func (f NettransFleet) Nodes() []NodeInfo {
-	nodes := f.M.Nodes()
-	out := make([]NodeInfo, len(nodes))
-	for i, n := range nodes {
-		out[i] = NodeInfo{Name: n.Name, Speed: n.Speed, Capacity: n.Capacity, Busy: n.Busy}
-	}
-	return out
-}
+func (f NettransFleet) Nodes() []NodeInfo { return f.M.Nodes() }

@@ -176,6 +176,23 @@ func TestHTTPStatusCodes(t *testing.T) {
 	if st, code := postErr(t, srv, `{"problem": {"kind": "placement", "circuit": "highway"}, "wrokers": 1}`); st != http.StatusBadRequest || code != "bad_spec" {
 		t.Fatalf("unknown-field = %d %q, want 400 bad_spec", st, code)
 	}
+	// Search sizes over their bounds: 400 bad_spec.
+	for _, c := range []struct {
+		key string
+		val int
+	}{
+		{"tsws", maxTSWs + 1},
+		{"clws", maxCLWs + 1},
+		{"global_iters", maxGlobalIters + 1},
+		{"local_iters", maxLocalIters + 1},
+		{"trials", maxTrials + 1},
+		{"depth", maxDepth + 1},
+	} {
+		body := fmt.Sprintf(`{"problem": {"kind": "placement", "circuit": "highway"}, "config": {%q: %d}}`, c.key, c.val)
+		if st, code := postErr(t, srv, body); st != http.StatusBadRequest || code != "bad_spec" {
+			t.Fatalf("%s over its bound = %d %q, want 400 bad_spec", c.key, st, code)
+		}
+	}
 	// Body over maxSubmitBytes: 413 too_large.
 	huge := `{"problem": {"kind": "placement", "circuit": "` + strings.Repeat("a", maxSubmitBytes) + `"}}`
 	if st, code := postErr(t, srv, huge); st != http.StatusRequestEntityTooLarge || code != "too_large" {

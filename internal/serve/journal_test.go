@@ -23,7 +23,7 @@ func newStoredScheduler(t *testing.T, fleet *fakeFleet, st store.Store,
 		Cluster:    cluster.Homogeneous(4, 1),
 		QueueDepth: 4,
 		Store:      st,
-		Logf:       t.Logf,
+		Logf:       testLogf(t),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -139,7 +139,7 @@ func TestSchedulerRestartDropsRejectedJobs(t *testing.T) {
 		Cluster:    cluster.Homogeneous(4, 1),
 		QueueDepth: 1,
 		Store:      st,
-		Logf:       t.Logf,
+		Logf:       testLogf(t),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -26,6 +26,7 @@ import (
 	"pts/internal/cluster"
 	"pts/internal/core"
 	"pts/internal/pvm"
+	"pts/internal/pvm/nettrans"
 	"pts/internal/sched"
 	"pts/internal/store"
 )
@@ -59,13 +60,9 @@ type Lease interface {
 	Release()
 }
 
-// NodeInfo describes one fleet worker.
-type NodeInfo struct {
-	Name     string  `json:"name"`
-	Speed    float64 `json:"speed"`
-	Capacity int     `json:"capacity"`
-	Busy     bool    `json:"busy"`
-}
+// NodeInfo describes one fleet worker; it is the nettrans registry
+// entry, and its JSON form is /v1/fleet's worker record.
+type NodeInfo = nettrans.NodeInfo
 
 // ErrNoCapacity reports a Lease call that found fewer idle workers
 // than requested. Fleet implementations wrap it (or nettrans's
@@ -409,6 +406,9 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	if err := req.Cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkSearchSize(req.Cfg); err != nil {
+		return nil, err
+	}
 	prob, err := s.cfg.Resolve(req.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("serve: resolve problem: %w", err)
@@ -451,6 +451,41 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	s.logf("serve: %s queued (%s, %d workers)", j.id, describeSpec(req.Spec), req.Workers)
 	s.pump()
 	return j, nil
+}
+
+// Search-size bounds of one submitted job. A job spawns
+// 1 + TSWs·(1+CLWs) tasks and runs GlobalIters·LocalIters iterations
+// of Trials·Depth trial swaps each, so unbounded values let one request
+// make the daemon spawn unbounded tasks or run unbounded work. Each
+// bound sits far above the defaults (4 TSWs, 1 CLW, 10×60 iterations,
+// 12 trials, depth 4) and every value the tests and benchmarks submit.
+const (
+	maxTSWs        = 64
+	maxCLWs        = 64
+	maxGlobalIters = 10_000
+	maxLocalIters  = 100_000
+	maxTrials      = 4096
+	maxDepth       = 256
+)
+
+// checkSearchSize refuses a configuration over the search-size bounds.
+func checkSearchSize(cfg core.Config) error {
+	for _, b := range []struct {
+		name     string
+		val, max int
+	}{
+		{"tsws", cfg.TSWs, maxTSWs},
+		{"clws", cfg.CLWs, maxCLWs},
+		{"global_iters", cfg.GlobalIters, maxGlobalIters},
+		{"local_iters", cfg.LocalIters, maxLocalIters},
+		{"trials", cfg.Trials, maxTrials},
+		{"depth", cfg.Depth, maxDepth},
+	} {
+		if b.val > b.max {
+			return fmt.Errorf("serve: %s %d over the limit %d", b.name, b.val, b.max)
+		}
+	}
+	return nil
 }
 
 // describeSpec renders a spec for log lines.

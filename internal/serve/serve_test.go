@@ -129,6 +129,28 @@ func tinyCfg() core.Config {
 	return cfg
 }
 
+// testLogf forwards scheduler log lines to t.Logf until t's cleanup
+// runs. Runner goroutines may still log after the test returned, which
+// the race detector flags and the testing package refuses; the mutex
+// orders every forward before the cutoff, so the fix does not depend
+// on stub runners honouring cancellation.
+func testLogf(t *testing.T) func(format string, args ...any) {
+	var mu sync.Mutex
+	done := false
+	t.Cleanup(func() {
+		mu.Lock()
+		done = true
+		mu.Unlock()
+	})
+	return func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !done {
+			t.Logf(format, args...)
+		}
+	}
+}
+
 // newTestScheduler assembles a scheduler over a fake fleet with the
 // runner stubbed out by runJob (nil keeps the real solver).
 func newTestScheduler(t *testing.T, fleet *fakeFleet, queueDepth int, runJob func(ctx context.Context, j *Job, lease Lease) (*core.Result, error)) *Scheduler {
@@ -138,7 +160,7 @@ func newTestScheduler(t *testing.T, fleet *fakeFleet, queueDepth int, runJob fun
 		Resolve:    testResolve,
 		Cluster:    cluster.Homogeneous(4, 1),
 		QueueDepth: queueDepth,
-		Logf:       t.Logf,
+		Logf:       testLogf(t),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -14,10 +14,16 @@ package tabu
 
 import "fmt"
 
-// Problem is the mutable optimization state the engine searches. Element
-// indices are 0..Size()-1 (cells for placement, facilities for QAP).
-// Implementations are not required to be safe for concurrent use; each
-// worker owns its copy.
+// Problem is the mutable optimization state the engine searches: a
+// solution over elements 0..Size()-1 (cells for placement, facilities
+// for QAP, jobs for scheduling) whose neighborhood is pairwise swaps,
+// encoded compactly as a permutation. Implementations need not be safe
+// for concurrent use — every worker owns its own copy. The parallel
+// engine calls it core.State and the public package pts.State.
+//
+// A Problem may additionally implement Refresher to resynchronize
+// cached models (the placement evaluator re-runs timing analysis
+// there); the engines call it at synchronization points when present.
 type Problem interface {
 	// Cost returns the current solution cost; lower is better.
 	Cost() float64
@@ -29,9 +35,10 @@ type Problem interface {
 	// ApplySwap swaps elements a and b and updates the cost. A swap is
 	// its own inverse.
 	ApplySwap(a, b int32)
-	// Snapshot captures the current solution compactly.
+	// Snapshot captures the current solution as a permutation.
 	Snapshot() []int32
-	// Restore replaces the current solution with a prior snapshot.
+	// Restore replaces the current solution with a prior snapshot,
+	// leaving the state fully consistent (cached costs recomputed).
 	Restore(snap []int32) error
 }
 

@@ -52,27 +52,15 @@ func ListenMaster(addr string, workers int) (*NetMaster, error) {
 // Addr returns the bound listen address.
 func (n *NetMaster) Addr() string { return n.m.Addr() }
 
-// WorkerInfo describes one registered worker process.
-type WorkerInfo struct {
-	// Name is the worker's cluster-unique registry name.
-	Name string
-	// Speed is its declared relative speed factor.
-	Speed float64
-	// Capacity is how many machine slots it contributes.
-	Capacity int
-}
+// WorkerInfo describes one registered worker process: its
+// cluster-unique Name, declared relative Speed, machine-slot Capacity,
+// and whether it is Busy hosting a run rather than idle in the lobby.
+type WorkerInfo = nettrans.NodeInfo
 
 // Workers lists the currently registered worker processes — waiting in
 // the lobby before a run, or claimed by the running one (including
 // workers absorbed mid-run by an adaptive job).
-func (n *NetMaster) Workers() []WorkerInfo {
-	nodes := n.m.Nodes()
-	out := make([]WorkerInfo, len(nodes))
-	for i, nd := range nodes {
-		out[i] = WorkerInfo{Name: nd.Name, Speed: nd.Speed, Capacity: nd.Capacity}
-	}
-	return out
-}
+func (n *NetMaster) Workers() []WorkerInfo { return n.m.Nodes() }
 
 // Transport returns the master as a Solve transport (WithTransport).
 func (n *NetMaster) Transport() Transport { return Transport{t: n.m} }
@@ -117,7 +105,7 @@ func WithJoin(addr string) Option {
 // node contributes to round-robin task placement (default 1).
 func WithNode(name string, speed float64, capacity int) Option {
 	return func(s *settings) {
-		s.node = nodeConfig{name: name, speed: speed, capacity: capacity}
+		s.node = NodeOptions{Name: name, Speed: speed, Capacity: capacity}
 	}
 }
 
@@ -136,23 +124,27 @@ type listenConfig struct {
 	workers int
 }
 
-// nodeConfig is WithNode's registry entry.
-type nodeConfig struct {
-	name     string
-	speed    float64
-	capacity int
-}
-
-// workerName resolves the node name, defaulting to "<hostname>:<pid>".
-func (n nodeConfig) workerName() string {
-	if n.name != "" {
-		return n.name
+// workerConfig resolves n into the nettrans registry entry and
+// connection settings of a worker joining addr for `jobs` jobs,
+// defaulting the name to "<hostname>:<pid>".
+func (n NodeOptions) workerConfig(addr string, jobs int) nettrans.WorkerConfig {
+	name := n.Name
+	if name == "" {
+		host, err := os.Hostname()
+		if err != nil {
+			host = "worker"
+		}
+		name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	host, err := os.Hostname()
-	if err != nil {
-		host = "worker"
+	return nettrans.WorkerConfig{
+		Addr:     addr,
+		Name:     name,
+		Speed:    n.Speed,
+		Capacity: n.Capacity,
+		Jobs:     jobs,
+		Drain:    n.Drain,
+		Logf:     n.Logf,
 	}
-	return fmt.Sprintf("%s:%d", host, os.Getpid())
 }
 
 // Worker runs a distributed-run worker daemon: join the master at
@@ -172,27 +164,15 @@ func Worker(ctx context.Context, p Problem, addr string, node NodeOptions, jobs 
 	if onJob != nil {
 		deliver = func(r *core.Result) { onJob(resultFromCore(r)) }
 	}
-	var prob core.Problem
-	var resolve func(core.ProblemSpec) (core.Problem, error)
-	if p != nil {
-		prob = adapt(p)
-	} else {
-		resolve = resolveSpec
+	opts := core.WorkerOptions{WorkerConfig: node.workerConfig(addr, jobs)}
+	if p == nil {
+		opts.Resolve = resolveSpec
 	}
-	return core.ServeWorker(ctx, prob, core.WorkerOptions{
-		Addr:     addr,
-		Name:     nodeConfig{name: node.Name}.workerName(),
-		Speed:    node.Speed,
-		Capacity: node.Capacity,
-		Jobs:     jobs,
-		Resolve:  resolve,
-		Drain:    node.Drain,
-		Logf:     node.Logf,
-	}, deliver)
+	return core.ServeWorker(ctx, p, opts, deliver)
 }
 
-// NodeOptions is Worker's registry entry (the exported twin of
-// WithNode's parameters).
+// NodeOptions is Worker's registry entry; WithNode sets its Name,
+// Speed and Capacity for a WithJoin call.
 type NodeOptions struct {
 	// Name uniquely identifies the node (default "<hostname>:<pid>").
 	Name string
@@ -213,12 +193,7 @@ type NodeOptions struct {
 
 // joinSolve runs the worker side of a distributed Solve.
 func joinSolve(ctx context.Context, p Problem, st settings) (*Result, error) {
-	res, err := core.JoinWorker(ctx, adapt(p), core.WorkerOptions{
-		Addr:     st.join,
-		Name:     st.node.workerName(),
-		Speed:    st.node.speed,
-		Capacity: st.node.capacity,
-	})
+	res, err := core.JoinWorker(ctx, p, core.WorkerOptions{WorkerConfig: st.node.workerConfig(st.join, 0)})
 	if err != nil {
 		return nil, err
 	}

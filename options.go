@@ -30,7 +30,7 @@ type settings struct {
 	transport pvm.Transport
 	listen    *listenConfig
 	join      string
-	node      nodeConfig
+	node      NodeOptions
 }
 
 // defaultSettings returns the zero-option configuration: the paper's
@@ -218,13 +218,7 @@ func WithRealTime() Option {
 // run's context from fn is the supported way to stop early based on
 // observed progress.
 func WithProgress(fn func(Snapshot)) Option {
-	return func(s *settings) {
-		if fn == nil {
-			s.cfg.Progress = nil
-			return
-		}
-		s.cfg.Progress = func(cs core.Snapshot) { fn(newSnapshot(cs)) }
-	}
+	return func(s *settings) { s.cfg.Progress = fn }
 }
 
 // WithTrace toggles recording of the best-cost-versus-time curve in

@@ -104,14 +104,7 @@ func (s *Server) FleetAddr() string { return s.master.Addr() }
 func (s *Server) Handler() http.Handler { return s.api.Handler() }
 
 // Workers lists the currently registered fleet workers.
-func (s *Server) Workers() []WorkerInfo {
-	nodes := s.master.Nodes()
-	out := make([]WorkerInfo, len(nodes))
-	for i, nd := range nodes {
-		out[i] = WorkerInfo{Name: nd.Name, Speed: nd.Speed, Capacity: nd.Capacity}
-	}
-	return out
-}
+func (s *Server) Workers() []WorkerInfo { return s.master.Nodes() }
 
 // Drain shuts the scheduler down gracefully: new submissions are
 // refused, queued jobs are cancelled, and running jobs are interrupted
@@ -140,24 +133,24 @@ func resolveSpec(spec core.ProblemSpec) (core.Problem, error) {
 		if err != nil {
 			return nil, err
 		}
-		return adapt(p), nil
+		return p, nil
 	case "qap":
 		if spec.QAPN < 2 || spec.QAPN > maxQAPSize {
 			return nil, fmt.Errorf("pts: qap size %d outside [2, %d]", spec.QAPN, maxQAPSize)
 		}
-		return adapt(RandomQAP(spec.QAPN, spec.QAPSeed)), nil
+		return RandomQAP(spec.QAPN, spec.QAPSeed), nil
 	case "flowshop":
 		p, err := FlowShopBenchmark(spec.Instance)
 		if err != nil {
 			return nil, err
 		}
-		return adapt(p), nil
+		return p, nil
 	case "jobshop":
 		p, err := JobShopBenchmark(spec.Instance)
 		if err != nil {
 			return nil, err
 		}
-		return adapt(p), nil
+		return p, nil
 	default:
 		return nil, fmt.Errorf("pts: unknown problem kind %q (want \"placement\", \"qap\", \"flowshop\" or \"jobshop\")", spec.Kind)
 	}

@@ -59,102 +59,11 @@ type TracePoint struct {
 }
 
 // WorkerStats counts search events across all workers of a run.
-type WorkerStats struct {
-	// LocalIters is the number of tabu iterations performed.
-	LocalIters int64
-	// CandidatesBuilt is the number of compound moves constructed.
-	CandidatesBuilt int64
-	// TrialsCharged is the number of trial swap evaluations.
-	TrialsCharged int64
-	// MovesAccepted is the number of compound moves applied.
-	MovesAccepted int64
-	// TabuRejected is the number of moves rejected by the tabu list.
-	TabuRejected int64
-	// Aspirations is the number of tabu moves accepted by aspiration.
-	Aspirations int64
-	// Fallbacks is the number of iterations where every candidate was
-	// tabu and none aspirated.
-	Fallbacks int64
-	// ForcedReports is the number of half-sync forced early reports.
-	ForcedReports int64
-	// Diversifications is the number of diversification phases run.
-	Diversifications int64
-	// Rebalances is the number of adaptive range re-partitions adopted
-	// by workers (0 unless WithAdaptive is on).
-	Rebalances int64
-	// WorkersLost is the number of workers (candidate-list workers and
-	// tabu search workers) written off after their hosting process died
-	// mid-run (adaptive distributed runs only; a static run aborts
-	// instead).
-	WorkersLost int64
-	// WorkersRespawned is the number of replacement workers spawned
-	// onto surviving capacity to take over for lost ones: CLW
-	// replacements re-seeded from their TSW's current solution, plus
-	// TSWs resurrected from their piggybacked checkpoints. Equal to
-	// WorkersLost when every loss was recovered (see WithRespawn).
-	WorkersRespawned int64
-}
-
-// newWorkerStats mirrors the engine's counters into the public type.
-func newWorkerStats(ws core.WorkerStats) WorkerStats {
-	return WorkerStats{
-		LocalIters:       ws.LocalIters,
-		CandidatesBuilt:  ws.CandidatesBuilt,
-		TrialsCharged:    ws.TrialsCharged,
-		MovesAccepted:    ws.MovesAccepted,
-		TabuRejected:     ws.TabuRejected,
-		Aspirations:      ws.Aspirations,
-		Fallbacks:        ws.Fallbacks,
-		ForcedReports:    ws.ForcedReports,
-		Diversifications: ws.Diversifications,
-		Rebalances:       ws.Rebalances,
-		WorkersLost:      ws.WorkersLost,
-		WorkersRespawned: ws.WorkersRespawned,
-	}
-}
+type WorkerStats = core.WorkerStats
 
 // Snapshot is one per-global-iteration progress observation streamed to
 // a WithProgress callback.
-type Snapshot struct {
-	// Round is the 1-based index of the just-completed global
-	// iteration; Rounds is the total planned.
-	Round  int
-	Rounds int
-	// BestCost is the global best cost after this round; InitialCost
-	// the shared starting point.
-	BestCost    float64
-	InitialCost float64
-	// Elapsed is seconds since the run started (virtual or wall).
-	Elapsed float64
-	// Improved reports whether this round improved the global best.
-	Improved bool
-	// Reports is the number of worker reports collected this round;
-	// Forced is how many of them the half-sync adaptation forced early.
-	Reports int
-	Forced  int
-	// Stats aggregates the search counters reported so far.
-	Stats WorkerStats
-	// Shares is the adaptive scheduler's current element-space share
-	// per tabu search worker (summing to 1 over live workers); nil
-	// unless WithAdaptive is on.
-	Shares []float64
-}
-
-// newSnapshot mirrors the engine's snapshot into the public type.
-func newSnapshot(cs core.Snapshot) Snapshot {
-	return Snapshot{
-		Round:       cs.Round,
-		Rounds:      cs.Rounds,
-		BestCost:    cs.BestCost,
-		InitialCost: cs.InitialCost,
-		Elapsed:     cs.Elapsed,
-		Improved:    cs.Improved,
-		Reports:     cs.Reports,
-		Forced:      cs.Forced,
-		Stats:       newWorkerStats(cs.Stats),
-		Shares:      cs.Shares,
-	}
-}
+type Snapshot = core.Snapshot
 
 // Solver runs the parallel tabu search with a reusable base
 // configuration. The zero value is ready to use and equals the paper's
@@ -229,7 +138,7 @@ func (s *Solver) Solve(ctx context.Context, p Problem, opts ...Option) (*Result,
 	}
 	st.cfg.Transport = st.transport
 
-	res, err := core.RunProblem(ctx, adapt(p), st.clus, st.cfg, st.mode)
+	res, err := core.RunProblem(ctx, p, st.clus, st.cfg, st.mode)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +155,7 @@ func resultFromCore(res *core.Result) *Result {
 		Elapsed:     res.Elapsed,
 		Rounds:      res.Rounds,
 		Interrupted: res.Interrupted,
-		Stats:       newWorkerStats(res.Stats),
+		Stats:       res.Stats,
 		Tasks:       res.Runtime.Spawns,
 		Messages:    res.Runtime.Sends,
 		Details:     res.Details,
